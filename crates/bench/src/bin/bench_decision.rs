@@ -33,7 +33,7 @@
 //! *verification* costs relative to solving. The headline workload/stress
 //! speedup columns are measured with certification off, exactly as before.
 
-use blaze_bench::json::nz;
+use blaze_bench::json::{nz, render_rows, render_sections, DECISION_SECTIONS};
 use blaze_certify::{verify_greedy, verify_ilp, verify_knapsack};
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration};
@@ -736,19 +736,16 @@ fn render_json(
     stress: &[StressSample],
     certify: &[CertifySample],
 ) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str("  \"workloads\": [\n");
-    for (i, w) in workloads.iter().enumerate() {
+    let workload_rows = render_rows(workloads.iter().map(|w| {
         let speedup = if w.decision_incremental_s > 0.0 {
             w.decision_scratch_s / w.decision_incremental_s
         } else {
             0.0
         };
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"jobs\": {}, \"act_s\": {:.6}, \
+        format!(
+            "{{\"workload\": \"{}\", \"jobs\": {}, \"act_s\": {:.6}, \
              \"decision_calls\": {}, \"decision_scratch_s\": {:.6}, \
-             \"decision_incremental_s\": {:.6}, \"speedup\": {:.3}}}{}\n",
+             \"decision_incremental_s\": {:.6}, \"speedup\": {:.3}}}",
             w.workload,
             w.jobs,
             nz(w.act_s),
@@ -756,16 +753,13 @@ fn render_json(
             nz(w.decision_scratch_s),
             nz(w.decision_incremental_s),
             nz(speedup),
-            if i + 1 < workloads.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"stress\": [\n");
-    for (i, r) in stress.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"rounds\": {}, \"scratch_s\": {:.6}, \
+        )
+    }));
+    let stress_rows = render_rows(stress.iter().map(|r| {
+        format!(
+            "{{\"shape\": \"{}\", \"rounds\": {}, \"scratch_s\": {:.6}, \
              \"incremental_s\": {:.6}, \"speedup\": {:.3}, \"solves\": {}, \
-             \"reused\": {}, \"dirty_drained\": {}, \"invalidated\": {}}}{}\n",
+             \"reused\": {}, \"dirty_drained\": {}, \"invalidated\": {}}}",
             r.shape,
             r.rounds,
             nz(r.scratch_s),
@@ -775,16 +769,13 @@ fn render_json(
             r.reused,
             r.dirty_drained,
             r.invalidated,
-            if i + 1 < stress.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"certify\": [\n");
-    for (i, c) in certify.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"instances\": {}, \"solve_s\": {:.6}, \
+        )
+    }));
+    let certify_rows = render_rows(certify.iter().map(|c| {
+        format!(
+            "{{\"strategy\": \"{}\", \"instances\": {}, \"solve_s\": {:.6}, \
              \"certify_solve_s\": {:.6}, \"verify_s\": {:.6}, \"emit_overhead\": {:.3}, \
-             \"verify_ratio\": {:.3}}}{}\n",
+             \"verify_ratio\": {:.3}}}",
             c.strategy,
             c.instances,
             nz(c.solve_s),
@@ -792,16 +783,18 @@ fn render_json(
             nz(c.verify_s),
             nz(c.emit_overhead()),
             nz(c.verify_ratio()),
-            if i + 1 < certify.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"certify_verify_ratio\": {:.3}\n",
-        nz(aggregate_verify_ratio(certify))
-    ));
-    s.push_str("}\n");
-    s
+        )
+    }));
+    render_sections(
+        DECISION_SECTIONS,
+        [
+            host_cpus.to_string(),
+            workload_rows,
+            stress_rows,
+            certify_rows,
+            format!("{:.3}", nz(aggregate_verify_ratio(certify))),
+        ],
+    )
 }
 
 fn main() {

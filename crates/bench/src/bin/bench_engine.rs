@@ -26,7 +26,7 @@
 //!
 //! Results are written to `BENCH_engine.json` at the repository root.
 
-use blaze_bench::json::{nz, oversubscribed};
+use blaze_bench::json::{nz, oversubscribed, render_rows, render_sections, ENGINE_SECTIONS};
 use blaze_engine::config::default_worker_threads;
 use blaze_engine::{SchedPolicy, SchedulerConfig};
 use blaze_workloads::{App, AppSpec, Session, SessionOutcome, SystemKind};
@@ -285,18 +285,15 @@ fn run_multi_app_section(check: bool) -> Vec<MultiSample> {
 
 /// Hand-rolled JSON writer (the workspace deliberately has no serde).
 fn render_json(host_cpus: usize, samples: &[Sample], multi: &[MultiSample]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"system\": \"{}\", \"worker_threads\": {}, \
+    let runs = render_rows(samples.iter().map(|r| {
+        format!(
+            "{{\"workload\": \"{}\", \"system\": \"{}\", \"worker_threads\": {}, \
              \"oversubscribed\": {}, \
              \"wall_s\": {:.6}, \"sim_act\": {:.6}, \"recovery_s\": {:.6}, \
              \"task_retries\": {}, \"blocks_lost\": {}, \"stages_resubmitted\": {}, \
              \"evictions_to_disk\": {}, \"evictions_discard\": {}, \
              \"spilled_mib\": {:.3}, \"discarded_mib\": {:.3}, \
-             \"ser_mem_hits\": {}, \"ser_transitions\": {}}}{}\n",
+             \"ser_mem_hits\": {}, \"ser_transitions\": {}}}",
             r.workload,
             r.system,
             r.worker_threads,
@@ -313,16 +310,13 @@ fn render_json(host_cpus: usize, samples: &[Sample], multi: &[MultiSample]) -> S
             nz(r.discarded_mib),
             r.ser_mem_hits,
             r.ser_transitions,
-            if i + 1 < samples.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"multi_app\": [\n");
-    for (i, r) in multi.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"system\": \"{}\", \"policy\": \"{}\", \"apps\": {}, \
+        )
+    }));
+    let multi_app = render_rows(multi.iter().map(|r| {
+        format!(
+            "{{\"system\": \"{}\", \"policy\": \"{}\", \"apps\": {}, \
              \"wall_s\": {:.6}, \"sim_act\": {:.6}, \"recompute_s\": {:.6}, \
-             \"cross_mem_hits\": {}, \"cross_disk_hits\": {}, \"evictions\": {}}}{}\n",
+             \"cross_mem_hits\": {}, \"cross_disk_hits\": {}, \"evictions\": {}}}",
             r.system,
             r.policy,
             r.apps,
@@ -332,9 +326,7 @@ fn render_json(host_cpus: usize, samples: &[Sample], multi: &[MultiSample]) -> S
             r.cross_mem_hits,
             r.cross_disk_hits,
             r.evictions,
-            if i + 1 < multi.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+        )
+    }));
+    render_sections(ENGINE_SECTIONS, [host_cpus.to_string(), runs, multi_app])
 }

@@ -30,7 +30,7 @@
 //! every sample, at least one spill is quarantined, and the capped solver
 //! actually degrades).
 
-use blaze_bench::json::nz;
+use blaze_bench::json::{nz, render_rows, render_sections, FAILURE_SECTIONS};
 use blaze_common::ids::{BlockId, ExecutorId, JobId, RddId};
 use blaze_common::{ByteSize, SimDuration, SimTime};
 use blaze_core::{BlazeConfig, BlazeController};
@@ -464,16 +464,14 @@ fn render_json(
     quar_samples: &[QuarSample],
     degrad_samples: &[DegradSample],
 ) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"fault_plan\": {\"seed\": 725550, \"task_failure_rate\": 0.02, ");
-    s.push_str("\"max_task_retries\": 3, \"executor_crashes\": 1, ");
-    s.push_str("\"external_shuffle_service\": false, \"straggler_rate\": 0.15, ");
-    s.push_str("\"straggler_slowdown\": 4.0, \"speculation\": true, ");
-    s.push_str("\"spill_corruption_rate\": 0.1, \"fetch_failure_rate\": 0.05},\n");
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"system\": \"{}\", \"act_clean\": {:.6}, \
+    let fault_plan = "{\"seed\": 725550, \"task_failure_rate\": 0.02, \
+                      \"max_task_retries\": 3, \"executor_crashes\": 1, \
+                      \"external_shuffle_service\": false, \"straggler_rate\": 0.15, \
+                      \"straggler_slowdown\": 4.0, \"speculation\": true, \
+                      \"spill_corruption_rate\": 0.1, \"fetch_failure_rate\": 0.05}";
+    let runs = render_rows(samples.iter().map(|r| {
+        format!(
+            "{{\"workload\": \"{}\", \"system\": \"{}\", \"act_clean\": {:.6}, \
              \"act_faulted\": {:.6}, \"recovery_s\": {:.6}, \"wasted_s\": {:.6}, \
              \"lineage_replay_s\": {:.6}, \"task_retries\": {}, \"tasks_lost_to_crash\": {}, \
              \"executor_crashes\": {}, \"blocks_lost\": {}, \"blocks_recovered\": {}, \
@@ -482,7 +480,7 @@ fn render_json(
              \"evictions_discard\": {}, \"stragglers\": {}, \"spec_launched\": {}, \
              \"spec_wins\": {}, \"spec_wasted_s\": {:.6}, \"spills_quarantined\": {}, \
              \"fetch_retries\": {}, \"fetch_backoff_s\": {:.6}, \
-             \"fetch_escalations\": {}}}{}\n",
+             \"fetch_escalations\": {}}}",
             r.workload,
             r.system,
             nz(r.act_clean),
@@ -508,16 +506,13 @@ fn render_json(
             r.fetch_retries,
             nz(r.fetch_backoff_s),
             r.fetch_escalations,
-            if i + 1 < samples.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"speculation\": [\n");
-    for (i, r) in spec_samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"system\": \"{}\", \"act_off\": {:.6}, \
+        )
+    }));
+    let speculation = render_rows(spec_samples.iter().map(|r| {
+        format!(
+            "{{\"workload\": \"{}\", \"system\": \"{}\", \"act_off\": {:.6}, \
              \"act_on\": {:.6}, \"stragglers\": {}, \"launched\": {}, \"wins\": {}, \
-             \"wasted_s\": {:.6}}}{}\n",
+             \"wasted_s\": {:.6}}}",
             r.workload,
             r.system,
             nz(r.act_off),
@@ -526,37 +521,32 @@ fn render_json(
             r.launched,
             r.wins,
             nz(r.wasted_s),
-            if i + 1 < spec_samples.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"quarantine\": [\n");
-    for (i, r) in quar_samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"act\": {:.6}, \"spills_quarantined\": {}, \
-             \"lineage_replay_s\": {:.6}}}{}\n",
+        )
+    }));
+    let quarantine = render_rows(quar_samples.iter().map(|r| {
+        format!(
+            "{{\"workload\": \"{}\", \"act\": {:.6}, \"spills_quarantined\": {}, \
+             \"lineage_replay_s\": {:.6}}}",
             r.workload,
             nz(r.act),
             r.spills_quarantined,
             nz(r.lineage_replay_s),
-            if i + 1 < quar_samples.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"degradation\": [\n");
-    for (i, r) in degrad_samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"deadline_ns\": {}, \"act_full\": {:.6}, \
-             \"act_capped\": {:.6}, \"degraded\": {}, \"passthrough\": {}}}{}\n",
+        )
+    }));
+    let degradation = render_rows(degrad_samples.iter().map(|r| {
+        format!(
+            "{{\"workload\": \"{}\", \"deadline_ns\": {}, \"act_full\": {:.6}, \
+             \"act_capped\": {:.6}, \"degraded\": {}, \"passthrough\": {}}}",
             r.workload,
             r.deadline_ns,
             nz(r.act_full),
             nz(r.act_capped),
             r.degraded,
             r.passthrough,
-            if i + 1 < degrad_samples.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+        )
+    }));
+    render_sections(
+        FAILURE_SECTIONS,
+        [fault_plan.to_string(), runs, speculation, quarantine, degradation],
+    )
 }

@@ -30,6 +30,43 @@ pub fn oversubscribed(worker_threads: usize, host_cpus: usize) -> bool {
     over
 }
 
+/// Top-level sections of `BENCH_engine.json`, in the order `bench_engine`
+/// writes them.
+pub const ENGINE_SECTIONS: [&str; 3] = ["host_cpus", "runs", "multi_app"];
+
+/// Top-level sections of `BENCH_decision.json`, in the order
+/// `bench_decision` writes them.
+pub const DECISION_SECTIONS: [&str; 5] =
+    ["host_cpus", "workloads", "stress", "certify", "certify_verify_ratio"];
+
+/// Top-level sections of `BENCH_failure.json`, in the order `bench_failure`
+/// writes them.
+pub const FAILURE_SECTIONS: [&str; 5] =
+    ["fault_plan", "runs", "speculation", "quarantine", "degradation"];
+
+/// Renders a top-level JSON object, one `"key": value` line per section.
+///
+/// `values` are raw JSON. The shared length `N` ties an emitter's values to
+/// its section constant, so a section cannot be written without being
+/// declared there (and checked against the committed file by
+/// `tests/bench_artifacts.rs`).
+pub fn render_sections<const N: usize>(keys: [&str; N], values: [String; N]) -> String {
+    let lines: Vec<String> =
+        keys.iter().zip(values).map(|(key, value)| format!("  \"{key}\": {value}")).collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
+/// Renders `rows` (raw JSON values) as an array with one row per line,
+/// indented to sit under a [`render_sections`] key.
+pub fn render_rows(rows: impl IntoIterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.into_iter().map(|row| format!("    {row}")).collect();
+    if rows.is_empty() {
+        "[\n  ]".to_string()
+    } else {
+        format!("[\n{}\n  ]", rows.join(",\n"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,5 +84,16 @@ mod tests {
         assert!(oversubscribed(8, 4));
         assert!(!oversubscribed(4, 4));
         assert!(!oversubscribed(1, 4));
+    }
+
+    #[test]
+    fn sections_render_one_key_per_line() {
+        let rows = render_rows(["{\"a\": 1}".to_string(), "{\"a\": 2}".to_string()]);
+        let json = render_sections(["n", "rows"], ["3".to_string(), rows]);
+        assert_eq!(
+            json,
+            "{\n  \"n\": 3,\n  \"rows\": [\n    {\"a\": 1},\n    {\"a\": 2}\n  ]\n}\n"
+        );
+        assert_eq!(render_rows(Vec::new()), "[\n  ]");
     }
 }

@@ -641,13 +641,7 @@ impl CacheController for BlazeController {
         }
         // Auto-unpersist: drop cached data without future references, to
         // "quickly acquire free space after each stage execution" (§5.6).
-        let mut rdds: Vec<RddId> = self
-            .lineage
-            .blocks_in_memory()
-            .into_iter()
-            .chain(self.lineage.blocks_on_disk())
-            .map(|(id, _)| id.rdd)
-            .collect();
+        let mut rdds: Vec<RddId> = self.lineage.resident_blocks().map(|id| id.rdd).collect();
         rdds.sort();
         rdds.dedup();
         rdds.into_iter()

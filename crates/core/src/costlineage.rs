@@ -328,16 +328,13 @@ impl CostLineage {
         self.metrics(id).and_then(|m| m.edge_compute)
     }
 
-    /// All blocks currently believed to be in memory, sorted by id.
+    /// Every block currently believed cached: the in-memory blocks, then
+    /// the on-disk ones, each sorted by id.
     ///
-    /// Served from a residency index maintained by [`Self::set_state`], so
-    /// this is O(cached blocks) rather than a scan of every partition.
-    pub fn blocks_in_memory(&self) -> Vec<(BlockId, ByteSize)> {
-        self.in_memory.iter().map(|&id| (id, self.indexed_size(id))).collect()
-    }
-
-    fn indexed_size(&self, id: BlockId) -> ByteSize {
-        self.observed_size(id).unwrap_or(ByteSize::ZERO)
+    /// Served from the residency indexes maintained by [`Self::set_state`],
+    /// so this is O(cached blocks) rather than a scan of every partition.
+    pub fn resident_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.in_memory.iter().chain(&self.on_disk).copied()
     }
 
     /// Debug check: the residency indexes must agree with a full scan of the
@@ -400,12 +397,6 @@ impl CostLineage {
         }
         AuditReport::new(diags)
     }
-
-    /// All blocks currently believed to be on disk, sorted by id (served
-    /// from the residency index, like [`Self::blocks_in_memory`]).
-    pub fn blocks_on_disk(&self) -> Vec<(BlockId, ByteSize)> {
-        self.on_disk.iter().map(|&id| (id, self.indexed_size(id))).collect()
-    }
 }
 
 #[cfg(test)]
@@ -457,9 +448,8 @@ mod tests {
         assert_eq!(cl.state(id).executor(), Some(ExecutorId(2)));
         cl.set_state(id, PartitionState::Disk(ExecutorId(2)));
         assert!(cl.state(id).on_disk());
-        cl.record_metrics(id, ByteSize::from_kib(1), SimDuration::ZERO);
-        assert_eq!(cl.blocks_on_disk(), vec![(id, ByteSize::from_kib(1))]);
-        assert!(cl.blocks_in_memory().is_empty());
+        assert_eq!(cl.resident_blocks().collect::<Vec<_>>(), vec![id]);
+        assert!(cl.residency_consistent());
     }
 
     #[test]
@@ -474,7 +464,7 @@ mod tests {
         assert!(cl.state(id).serialized());
         assert!(!cl.state(id).on_disk());
         assert_eq!(cl.state(id).executor(), Some(ExecutorId(1)));
-        assert_eq!(cl.blocks_in_memory(), vec![(id, ByteSize::from_kib(2))]);
+        assert_eq!(cl.resident_blocks().collect::<Vec<_>>(), vec![id]);
         assert!(cl.residency_consistent());
         cl.set_state(id, PartitionState::Memory(ExecutorId(1)));
         assert!(!cl.state(id).serialized());

@@ -285,13 +285,8 @@ pub(crate) fn gather_candidates(
 ) -> FxHashMap<ExecutorId, Vec<Candidate>> {
     // audit: allow(decision-hash) entry/remove by key; bucket contents sorted before use
     let mut per_exec: FxHashMap<ExecutorId, Vec<Candidate>> = FxHashMap::default();
-    let cached: Vec<(BlockId, PartitionState)> = lineage
-        .blocks_in_memory()
-        .into_iter()
-        .map(|(id, _)| (id, lineage.state(id)))
-        .chain(lineage.blocks_on_disk().into_iter().map(|(id, _)| (id, lineage.state(id))))
-        .collect();
-    for (id, state) in cached {
+    for id in lineage.resident_blocks() {
+        let state = lineage.state(id);
         let Some(exec) = state.executor() else { continue };
         let window_refs = refs.refs_in_window(id.rdd, current_job, config.horizon_jobs);
         let referenced = window_refs > 0;

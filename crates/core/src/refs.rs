@@ -15,19 +15,83 @@ use blaze_common::fxhash::FxHashMap;
 use blaze_common::ids::RddId;
 use blaze_dataflow::{planner::plan_job, Plan};
 
-/// Per-job reference counts of the application.
+/// Per-job reference counts of the application, indexed per RDD.
 #[derive(Debug, Clone, Default)]
 pub struct JobRefs {
-    /// `per_job[j][rdd]` = number of consuming edges of `rdd` from RDDs
-    /// first materialized in job `j`.
-    per_job: Vec<FxHashMap<RddId, u32>>,
-    /// Number of *captured* jobs at the head of `per_job`; entries past this
-    /// are induced (see [`JobRefs::extend_induced`]).
+    /// `index[rdd]` = ascending `(job, cumulative)` pairs, where
+    /// `cumulative` counts the references to `rdd` from jobs `0..=job`. Only
+    /// jobs that reference `rdd` have an entry, so every query is two binary
+    /// searches over the few jobs touching one RDD.
+    index: FxHashMap<RddId, Vec<(usize, u32)>>,
+    /// Number of jobs covered (captured + induced).
+    jobs: usize,
+    /// Number of *captured* jobs; jobs past this are induced (see
+    /// [`JobRefs::extend_induced`]).
     captured: usize,
+    /// References of the last captured job: the template
+    /// [`JobRefs::extend_induced`] shifts.
+    last_captured: FxHashMap<RddId, u32>,
+    /// RDDs the induced tail references, whose index entries
+    /// [`JobRefs::retract_induced`] pops.
+    induced: Vec<RddId>,
     /// Highest RDD id seen across captured jobs. Persisting this is what
     /// makes [`JobRefs::extend_build`] produce exactly the refs a full
     /// rebuild would: the "new RDD" test is a running watermark.
     max_seen: Option<u32>,
+}
+
+/// References from one captured job: the consuming edges of the RDDs it
+/// materializes first (ids above the `max_seen` watermark, which it
+/// advances), plus the access of its target.
+fn job_refs(plan: &Plan, target: RddId, max_seen: &mut Option<u32>) -> FxHashMap<RddId, u32> {
+    let mut refs: FxHashMap<RddId, u32> = FxHashMap::default();
+    if let Ok(jp) = plan_job(plan, target) {
+        for stage in &jp.stages {
+            for &rdd in &stage.rdds {
+                let is_new = max_seen.is_none_or(|m| rdd.raw() > m);
+                if !is_new {
+                    continue;
+                }
+                if let Ok(node) = plan.node(rdd) {
+                    for dep in &node.deps {
+                        *refs.entry(dep.parent()).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        let job_max = jp.stages.iter().flat_map(|s| s.rdds.iter()).map(|r| r.raw()).max();
+        *max_seen = (*max_seen).max(job_max);
+    }
+    // The job materializes its target: that is an access of the target's
+    // blocks even when the whole sub-DAG already exists (the
+    // `cached.count()` reuse pattern).
+    *refs.entry(target).or_insert(0) += 1;
+    refs
+}
+
+/// The `k`-th induced job: `last`'s references shifted `k` iteration
+/// strides forward.
+///
+/// Only *periodic* datasets (ids allocated during the last captured
+/// iteration) shift; stable datasets created before the periodic phase
+/// (e.g. a PageRank `links` graph) keep their id — they play the same role
+/// in every iteration.
+fn induced_job(
+    last: &FxHashMap<RddId, u32>,
+    pattern: IterationPattern,
+    k: u32,
+) -> Vec<(RddId, u32)> {
+    let periodic_base =
+        last.keys().map(|r| r.raw()).max().map_or(u32::MAX, |m| m.saturating_sub(pattern.stride));
+    last.iter()
+        .map(|(rdd, &c)| {
+            if rdd.raw() > periodic_base {
+                (RddId(rdd.raw() + pattern.stride * k), c)
+            } else {
+                (*rdd, c)
+            }
+        })
+        .collect()
 }
 
 impl JobRefs {
@@ -50,33 +114,23 @@ impl JobRefs {
     /// O(changed) path the incremental controller uses per job submission.
     /// Any induced tail must be dropped first ([`Self::retract_induced`]).
     pub fn extend_build(&mut self, plan: &Plan, new_targets: &[RddId]) {
-        debug_assert_eq!(self.per_job.len(), self.captured, "induced tail not retracted");
+        debug_assert_eq!(self.jobs, self.captured, "induced tail not retracted");
         for &target in new_targets {
-            let mut refs: FxHashMap<RddId, u32> = FxHashMap::default();
-            if let Ok(jp) = plan_job(plan, target) {
-                for stage in &jp.stages {
-                    for &rdd in &stage.rdds {
-                        let is_new = self.max_seen.is_none_or(|m| rdd.raw() > m);
-                        if !is_new {
-                            continue;
-                        }
-                        if let Ok(node) = plan.node(rdd) {
-                            for dep in &node.deps {
-                                *refs.entry(dep.parent()).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                }
-                let job_max = jp.stages.iter().flat_map(|s| s.rdds.iter()).map(|r| r.raw()).max();
-                self.max_seen = self.max_seen.max(job_max);
-            }
-            // The job materializes its target: that is an access of the
-            // target's blocks even when the whole sub-DAG already exists
-            // (the `cached.count()` reuse pattern).
-            *refs.entry(target).or_insert(0) += 1;
-            self.per_job.push(refs);
+            let refs = job_refs(plan, target, &mut self.max_seen);
+            self.push_job(refs.iter().map(|(&rdd, &c)| (rdd, c)));
+            self.last_captured = refs;
         }
-        self.captured = self.per_job.len();
+        self.captured = self.jobs;
+    }
+
+    /// Appends one job's references to the index.
+    fn push_job(&mut self, refs: impl IntoIterator<Item = (RddId, u32)>) {
+        for (rdd, count) in refs {
+            let entries = self.index.entry(rdd).or_default();
+            let before = entries.last().map_or(0, |&(_, cum)| cum);
+            entries.push((self.jobs, before + count));
+        }
+        self.jobs += 1;
     }
 
     /// Number of captured (non-induced) jobs.
@@ -87,59 +141,60 @@ impl JobRefs {
     /// Drops the induced tail, leaving only captured jobs (the inverse of
     /// [`JobRefs::extend_induced`], applied before re-extending).
     pub fn retract_induced(&mut self) {
-        self.per_job.truncate(self.captured);
+        let captured = self.captured;
+        for rdd in self.induced.drain(..) {
+            let Some(entries) = self.index.get_mut(&rdd) else { continue };
+            while entries.last().is_some_and(|&(job, _)| job >= captured) {
+                entries.pop();
+            }
+            if entries.is_empty() {
+                self.index.remove(&rdd);
+            }
+        }
+        self.jobs = captured;
     }
 
     /// Appends `extra` induced jobs by shifting the last captured job's
-    /// references forward by the iteration stride (no-profiling mode).
-    ///
-    /// Only *periodic* datasets (those allocated during the last captured
-    /// iteration) shift; stable datasets created before the periodic phase
-    /// (e.g. a PageRank `links` graph) keep their id — they play the same
-    /// role in every iteration.
+    /// references forward by the iteration stride (no-profiling mode; see
+    /// [`induced_job`]). Any earlier induced tail must be dropped first
+    /// ([`Self::retract_induced`]).
     pub fn extend_induced(&mut self, pattern: IterationPattern, extra: usize) {
-        let Some(last) = self.per_job.last().cloned() else { return };
-        // Ids at or above this base were allocated during the last captured
-        // iteration and are therefore periodic.
-        let periodic_base = last
-            .keys()
-            .map(|r| r.raw())
-            .max()
-            .map(|m| m.saturating_sub(pattern.stride))
-            .unwrap_or(u32::MAX);
+        debug_assert_eq!(self.jobs, self.captured, "induced tail not retracted");
+        if self.captured == 0 {
+            return;
+        }
         for k in 1..=extra {
-            let shifted: FxHashMap<RddId, u32> = last
-                .iter()
-                .map(|(rdd, &c)| {
-                    if rdd.raw() > periodic_base {
-                        (RddId(rdd.raw() + pattern.stride * k as u32), c)
-                    } else {
-                        (*rdd, c)
-                    }
-                })
-                .collect();
-            self.per_job.push(shifted);
+            let shifted = induced_job(&self.last_captured, pattern, k as u32);
+            self.induced.extend(shifted.iter().map(|&(rdd, _)| rdd));
+            self.push_job(shifted);
         }
     }
 
     /// Number of jobs covered (captured + induced).
     pub fn num_jobs(&self) -> usize {
-        self.per_job.len()
+        self.jobs
     }
 
     /// References to `rdd` from job `job_idx` alone.
     pub fn refs_in_job(&self, rdd: RddId, job_idx: usize) -> u32 {
-        self.per_job.get(job_idx).and_then(|m| m.get(&rdd)).copied().unwrap_or(0)
+        self.refs_in_window(rdd, job_idx, 1)
     }
 
     /// Total references to `rdd` from jobs `from..` (future references).
     pub fn future_refs(&self, rdd: RddId, from: usize) -> u32 {
-        self.per_job.iter().skip(from).map(|m| m.get(&rdd).copied().unwrap_or(0)).sum()
+        self.refs_in_window(rdd, from, usize::MAX)
     }
 
     /// Total references to `rdd` within the window `from..from+len`.
     pub fn refs_in_window(&self, rdd: RddId, from: usize, len: usize) -> u32 {
-        self.per_job.iter().skip(from).take(len).map(|m| m.get(&rdd).copied().unwrap_or(0)).sum()
+        let Some(entries) = self.index.get(&rdd) else { return 0 };
+        // References from jobs `..job`: the cumulative count of the last
+        // entry before `job`.
+        let before = |job: usize| {
+            let n = entries.partition_point(|&(j, _)| j < job);
+            n.checked_sub(1).map_or(0, |i| entries[i].1)
+        };
+        before(from.saturating_add(len)) - before(from)
     }
 }
 
@@ -148,6 +203,7 @@ mod tests {
     use super::*;
     use crate::pattern::detect;
     use blaze_dataflow::{runner::LocalRunner, Context, Dataset};
+    use proptest::prelude::*;
 
     /// A PageRank-shaped iterative plan: ranks_{i+1} = f(join(ranks_i, links)).
     fn iterative_plan(iters: usize) -> (Context, Vec<RddId>, RddId, Vec<RddId>) {
@@ -235,5 +291,113 @@ mod tests {
         let plan = ctx.plan().read();
         let refs = JobRefs::build(&plan, &targets);
         assert!(refs.refs_in_window(links, 1, 2) <= refs.future_refs(links, 1));
+    }
+
+    /// One step of a random reference-maintenance history.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `extend_build` over these target ids (some past the plan).
+        Build(Vec<u32>),
+        /// `extend_induced` with this stride and job count.
+        Induce(u32, usize),
+        Retract,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            prop::collection::vec(0u32..48, 0..4).prop_map(Op::Build),
+            (1u32..6, 0usize..5).prop_map(|(stride, extra)| Op::Induce(stride, extra)),
+            Just(Op::Retract),
+        ]
+    }
+
+    /// The unindexed representation: one map per job, queries summed by a
+    /// scan over the jobs.
+    #[derive(Default)]
+    struct Naive {
+        per_job: Vec<FxHashMap<RddId, u32>>,
+        captured: usize,
+        max_seen: Option<u32>,
+    }
+
+    impl Naive {
+        fn in_job(&self, rdd: RddId, job: usize) -> u32 {
+            self.per_job.get(job).and_then(|m| m.get(&rdd)).copied().unwrap_or(0)
+        }
+        fn future(&self, rdd: RddId, from: usize) -> u32 {
+            self.window(rdd, from, usize::MAX)
+        }
+        fn window(&self, rdd: RddId, from: usize, len: usize) -> u32 {
+            self.per_job
+                .iter()
+                .skip(from)
+                .take(len)
+                .map(|m| m.get(&rdd).copied().unwrap_or(0))
+                .sum()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The per-RDD cumulative index answers every query exactly like a
+        /// scan over per-job maps, across interleaved captured extensions,
+        /// induced tails and retractions — including windows starting past
+        /// the last job, empty windows and `from + len` overflowing `usize`.
+        #[test]
+        fn index_matches_a_per_job_scan(ops in prop::collection::vec(op(), 1..10)) {
+            let (ctx, _targets, _links, _ranks) = iterative_plan(5);
+            let plan = ctx.plan().read();
+            let mut refs = JobRefs::default();
+            let mut naive = Naive::default();
+            for op in &ops {
+                // Like the controller: a tail is retracted before extending.
+                if !matches!(op, Op::Retract) && refs.num_jobs() > refs.captured_jobs() {
+                    refs.retract_induced();
+                    naive.per_job.truncate(naive.captured);
+                }
+                match op {
+                    Op::Build(ids) => {
+                        let targets: Vec<RddId> = ids.iter().map(|&i| RddId(i)).collect();
+                        refs.extend_build(&plan, &targets);
+                        for &t in &targets {
+                            let job = job_refs(&plan, t, &mut naive.max_seen);
+                            naive.per_job.push(job);
+                        }
+                        naive.captured = naive.per_job.len();
+                    }
+                    &Op::Induce(stride, extra) => {
+                        let pattern = IterationPattern { stride, first_periodic_job: 0 };
+                        refs.extend_induced(pattern, extra);
+                        if let Some(last) = naive.per_job.last().cloned() {
+                            for k in 1..=extra {
+                                let job = induced_job(&last, pattern, k as u32);
+                                naive.per_job.push(job.into_iter().collect());
+                            }
+                        }
+                    }
+                    Op::Retract => {
+                        refs.retract_induced();
+                        naive.per_job.truncate(naive.captured);
+                    }
+                }
+                let jobs = naive.per_job.len();
+                prop_assert_eq!(refs.num_jobs(), jobs);
+                prop_assert_eq!(refs.captured_jobs(), naive.captured);
+                for rdd in (0..80u32).map(RddId) {
+                    for from in (0..=jobs + 1).chain([usize::MAX]) {
+                        prop_assert_eq!(refs.refs_in_job(rdd, from), naive.in_job(rdd, from));
+                        prop_assert_eq!(refs.future_refs(rdd, from), naive.future(rdd, from));
+                        for len in [0, 1, 3, usize::MAX - 1, usize::MAX] {
+                            prop_assert_eq!(
+                                refs.refs_in_window(rdd, from, len),
+                                naive.window(rdd, from, len),
+                                "{:?} from {} len {}", rdd, from, len
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

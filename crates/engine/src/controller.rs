@@ -152,9 +152,18 @@ pub struct CtrlCtx {
 ///   incoming block (Spark never evicts the RDD being written);
 /// - commands returned from `on_stage_complete` / `on_job_submit` are applied
 ///   best-effort (e.g. a promotion that no longer fits is skipped);
-/// - every memory/disk insert and removal is reported via `on_inserted` /
-///   `on_evicted`, including those triggered by [`StateCommand`]s, so the
-///   controller's view of residency can be kept consistent.
+/// - every memory/disk insert is reported via `on_inserted`, including
+///   those triggered by [`StateCommand`]s;
+/// - `on_evicted` reports every removal from the memory tiers (eviction,
+///   spill, unpersist by command or by the user) and every block of
+///   either tier lost with a crashed executor. A disk block promoted to
+///   memory is re-reported by `on_inserted` for its new tier.
+///
+/// Disk-tier removals are **not** reported today: blocks dropped from disk
+/// by [`StateCommand::UnpersistRdd`], [`StateCommand::UnpersistBlock`], the
+/// user `unpersist()` API or spill quarantine leave the controller
+/// believing they are still on disk (DESIGN.md, "Decision-path
+/// performance", records what this costs).
 pub trait CacheController: Send {
     /// Short system name used in reports (e.g. `"Spark (MEM_ONLY)"`).
     fn name(&self) -> String;
